@@ -65,6 +65,50 @@ func TestMetaheuristicAllocsDoNotScaleWithIters(t *testing.T) {
 	}
 }
 
+// TestRLAllocsDoNotScaleWithEpisodes pins the allocation contract of the
+// tabular RL engine: an episode reuses the mdp's buffers, the Q-row
+// scratch and the trajectory, and the Q table grows its arenas by
+// doubling, so quadrupling the episode budget may add only the few
+// allocations of the table's extra growth steps — never per-step or
+// per-episode garbage, which would show up as thousands.
+func TestRLAllocsDoNotScaleWithEpisodes(t *testing.T) {
+	in, err := gap.Synthetic(gap.SyntheticUniform, 40, 5, 0.85, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		mk   func(episodes int) Assigner
+	}{
+		{"qlearning", func(ep int) Assigner {
+			q := NewQLearning(42)
+			q.Params.Episodes = ep
+			return q
+		}},
+		{"sarsa", func(ep int) Assigner {
+			s := NewSARSA(42)
+			s.Params.Episodes = ep
+			return s
+		}},
+		{"nstep-qlearning", func(ep int) Assigner {
+			nq := NewNStepQLearning(42)
+			nq.Params.Episodes = ep
+			return nq
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			small := allocsPerAssign(t, func() Assigner { return tc.mk(200) }, in)
+			big := allocsPerAssign(t, func() Assigner { return tc.mk(800) }, in)
+			// Each table arena (index, entries, level bytes, overrides)
+			// may double a couple more times over 4x the episodes.
+			if big > small+12 {
+				t.Fatalf("allocs grew with episodes: %.0f at 200 episodes, %.0f at 800", small, big)
+			}
+		})
+	}
+}
+
 // TestTracingOffAddsZeroAllocs extends the allocs pins to the phase-
 // tracing plane: a solver with tracing detached (WithPhases(a, nil) —
 // the default state every untraced caller is in) must allocate exactly

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"taccc/internal/gap"
+	"taccc/internal/xrand"
 )
 
 // mustSynthetic builds a synthetic instance or fails the test.
@@ -347,24 +348,110 @@ func TestRLParamsDefaults(t *testing.T) {
 	}
 }
 
+// TestMDPStateKey checks the RL engine's state key: the mdp's
+// incrementally kept levels and Zobrist hash, and the Q table's exact
+// (step, levels) equality on top of that hash.
 func TestMDPStateKey(t *testing.T) {
-	in := mustSynthetic(t, gap.SyntheticUniform, 4, 3, 0.5, 1)
-	env := newMDP(in, 4)
-	env.reset()
-	k1 := env.stateKey()
-	if k1 != "0|aaa" {
-		t.Fatalf("initial state key = %q, want 0|aaa", k1)
+	in := mustSynthetic(t, gap.SyntheticUniform, 40, 6, 0.9, 3)
+
+	t.Run("incremental matches scratch", func(t *testing.T) {
+		src := xrand.New(5)
+		for _, levels := range []int{1, 4, 8} {
+			env := newMDP(in, levels)
+			for ep := 0; ep < 20; ep++ {
+				env.reset()
+				loads := make([]float64, in.M())
+				var buf []int
+				for !env.done() {
+					if buf = env.feasibleActions(buf); len(buf) == 0 {
+						break
+					}
+					a := buf[src.Intn(len(buf))]
+					loads[a] += in.Weight[env.device()][a]
+					env.take(a)
+					want, wantHash := scratchLevels(in, loads, levels)
+					if string(env.lvl) != string(want) || env.hash != wantHash {
+						t.Fatalf("levels=%d step %d: incremental (%v, %x), scratch (%v, %x)",
+							levels, env.step, env.lvl, env.hash, want, wantHash)
+					}
+				}
+			}
+		}
+	})
+
+	t.Run("equal states share an entry", func(t *testing.T) {
+		env := newMDP(in, 4)
+		table := newQTable(env)
+		env.reset()
+		var buf []int
+		buf = env.feasibleActions(buf)
+		env.take(buf[0])
+		e := table.internAt(env)
+		table.set(e, 1, -7)
+		// Reach the same (step, levels) again through a fresh episode.
+		env.reset()
+		env.take(buf[0])
+		if got := table.stateAt(env); got != e {
+			t.Fatalf("equal state found entry %d, want %d", got, e)
+		}
+		if got := table.internAt(env); got != e {
+			t.Fatalf("equal state interned as %d, want %d", got, e)
+		}
+		row := table.row(e, env.step, make([]float64, in.M()))
+		if row[1] != -7 || row[0] != env.rowInit[env.step][0] {
+			t.Fatalf("row %v: want override -7 at 1 over the step's init", row)
+		}
+	})
+
+	t.Run("hash collisions stay distinct", func(t *testing.T) {
+		env := newMDP(in, 4)
+		table := newQTable(env)
+		a := make([]uint8, in.M())
+		b := make([]uint8, in.M())
+		b[2] = 1
+		const h = 42
+		ea := table.intern(h, 3, a)
+		eb := table.intern(h, 3, b)
+		ec := table.intern(h, 4, a)
+		if ea == eb || ea == ec || eb == ec {
+			t.Fatalf("colliding states merged: entries %d %d %d", ea, eb, ec)
+		}
+		table.set(ea, 0, 1)
+		table.set(eb, 0, 2)
+		table.set(ec, 0, 3)
+		for _, c := range []struct {
+			step   int
+			levels []uint8
+			want   int32
+			q      float64
+		}{{3, a, ea, 1}, {3, b, eb, 2}, {4, a, ec, 3}} {
+			e := table.find(h, c.step, c.levels)
+			row := table.row(e, c.step, make([]float64, in.M()))
+			if e != c.want || row[0] != c.q {
+				t.Fatalf("find(step %d, %v) = entry %d Q %v, want %d Q %v", c.step, c.levels, e, row[0], c.want, c.q)
+			}
+		}
+	})
+}
+
+// scratchLevels recomputes the quantized utilization vector and its
+// Zobrist hash from edge loads alone.
+func scratchLevels(in *gap.Instance, loads []float64, levels int) ([]uint8, uint64) {
+	lvl := make([]uint8, len(loads))
+	var h uint64
+	for j, load := range loads {
+		level := levels - 1
+		if in.Capacity[j] > 0 {
+			u := load / in.Capacity[j]
+			if u >= 1 {
+				u = 1 - 1e-9
+			}
+			level = int(u * float64(levels))
+		}
+		lvl[j] = uint8(level)
+		h ^= zobrist(j, lvl[j])
 	}
-	var buf []int
-	buf = env.feasibleActions(buf)
-	if len(buf) == 0 {
-		t.Fatal("no feasible actions in fresh MDP")
-	}
-	env.take(buf[0])
-	k2 := env.stateKey()
-	if k2 == k1 {
-		t.Fatal("state key did not change after take")
-	}
+	return lvl, h
 }
 
 func TestRepairFixesOverload(t *testing.T) {

@@ -49,7 +49,7 @@ func (b *Bandit) Assign(in *gap.Instance) (*gap.Assignment, error) {
 	}
 	pulls := make([]float64, n)
 
-	var actBuf []int
+	actBuf, untried := make([]int, 0, m), make([]int, 0, m)
 	of := make([]int, n)
 	bestOf := make([]int, n)
 	bestCost := math.Inf(1)
@@ -66,7 +66,7 @@ func (b *Bandit) Assign(in *gap.Instance) (*gap.Assignment, error) {
 				feasibleRun = false
 				break
 			}
-			a := ucbPick(counts[t], sums[t], pulls[t], actBuf, explore, src)
+			a := ucbPick(counts[t], sums[t], pulls[t], actBuf, explore, src, untried)
 			i := env.device()
 			r := env.take(a)
 			cost -= r
@@ -88,9 +88,9 @@ func (b *Bandit) Assign(in *gap.Instance) (*gap.Assignment, error) {
 }
 
 // ucbPick chooses among feasible arms by UCB1, preferring untried arms
-// (random among them to break ties fairly).
-func ucbPick(counts, sums []float64, total float64, feasible []int, explore float64, src *xrand.Source) int {
-	var untried []int
+// (random among them to break ties fairly). untried is scratch space.
+func ucbPick(counts, sums []float64, total float64, feasible []int, explore float64, src *xrand.Source, untried []int) int {
+	untried = untried[:0]
 	for _, a := range feasible {
 		if counts[a] == 0 {
 			untried = append(untried, a)

@@ -46,47 +46,74 @@ func NewRegretGreedy() *RegretGreedy { return &RegretGreedy{} }
 // Name implements Assigner.
 func (*RegretGreedy) Name() string { return "regret-greedy" }
 
+// twoBest is a device's cheapest feasible edge (firstJ, cost first) and
+// the cost of the next cheapest, second, on edge secondJ (+Inf and -1
+// when only one edge fits).
+type twoBest struct {
+	first, second   float64
+	firstJ, secondJ int
+}
+
+// scanTwoBest finds device i's two cheapest feasible edges; ties keep the
+// lowest index as the first.
+func scanTwoBest(in *gap.Instance, residual []float64, i int) twoBest {
+	b := twoBest{first: math.Inf(1), second: math.Inf(1), firstJ: -1, secondJ: -1}
+	for j := 0; j < in.M(); j++ {
+		if !fits(in, residual, i, j) {
+			continue
+		}
+		c := in.CostMs[i][j]
+		switch {
+		case c < b.first:
+			b.second, b.secondJ, b.first, b.firstJ = b.first, b.firstJ, c, j
+		case c < b.second:
+			b.second, b.secondJ = c, j
+		}
+	}
+	return b
+}
+
 // Assign implements Assigner.
+//
+// Each device's two cheapest feasible edges are cached. Residuals only
+// shrink, so a placement on edge e changes a device's pair only when e
+// was one of the two and no longer fits; only those devices are
+// rescanned. A solve costs O(n² + n·m) plus one O(m) scan per rescan,
+// instead of an O(m) scan per device per placement.
 func (rg *RegretGreedy) Assign(in *gap.Instance) (*gap.Assignment, error) {
 	n := in.N()
 	of := make([]int, n)
 	assigned := make([]bool, n)
 	residual := residuals(in)
+	best := make([]twoBest, n)
+	lastEdge := -1
 	for placed := 0; placed < n; placed++ {
-		bestDev, bestEdge := -1, -1
+		bestDev := -1
 		bestRegret := math.Inf(-1)
 		for i := 0; i < n; i++ {
 			if assigned[i] {
 				continue
 			}
-			first, second, firstJ := math.Inf(1), math.Inf(1), -1
-			for j := 0; j < in.M(); j++ {
-				if !fits(in, residual, i, j) {
-					continue
-				}
-				c := in.CostMs[i][j]
-				switch {
-				case c < first:
-					second, first, firstJ = first, c, j
-				case c < second:
-					second = c
-				}
+			b := &best[i]
+			if placed == 0 || (b.firstJ == lastEdge || b.secondJ == lastEdge) && !fits(in, residual, i, lastEdge) {
+				*b = scanTwoBest(in, residual, i)
 			}
-			if firstJ < 0 {
+			if b.firstJ < 0 {
 				return nil, fmt.Errorf("assign/regret-greedy: device %d has no edge with capacity: %w", i, gap.ErrInfeasible)
 			}
-			regret := second - first
-			if math.IsInf(second, 1) {
+			regret := b.second - b.first
+			if math.IsInf(b.second, 1) {
 				// Only one feasible edge left: must place now.
 				regret = math.Inf(1)
 			}
 			if regret > bestRegret {
-				bestRegret, bestDev, bestEdge = regret, i, firstJ
+				bestRegret, bestDev = regret, i
 			}
 		}
-		of[bestDev] = bestEdge
+		lastEdge = best[bestDev].firstJ
+		of[bestDev] = lastEdge
 		assigned[bestDev] = true
-		residual[bestEdge] -= in.Weight[bestDev][bestEdge]
+		residual[lastEdge] -= in.Weight[bestDev][lastEdge]
 	}
 	return finish(in, of, "regret-greedy")
 }

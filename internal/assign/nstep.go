@@ -37,8 +37,11 @@ func (nq *NStepQLearning) Assign(in *gap.Instance) (*gap.Assignment, error) {
 	}
 	src := xrand.NewSplit(nq.seed, "nstep-q")
 	env := newMDPSeeded(in, p.LoadLevels, !p.NoCostSeeding)
-	table := make(qtable, p.Episodes)
-	var actBuf []int
+	table := newQTable(env)
+	policy := newExplorer(in.M(), p.UniformExploration)
+	penalty := deadEndPenalty(in)
+	actBuf := make([]int, 0, in.M())
+	buf := make([]float64, in.M())
 
 	bestOf := make([]int, in.N())
 	bestCost := math.Inf(1)
@@ -58,12 +61,17 @@ func (nq *NStepQLearning) Assign(in *gap.Instance) (*gap.Assignment, error) {
 		}
 	}
 
-	// Per-step trajectory storage, reused across episodes.
+	// Per-step trajectory storage, reused across episodes. Updates are
+	// batched at the episode's end and each step visits a distinct
+	// state, so a state's Q row is the same at the batch as at its
+	// visit: a step records its Q(s,a) and the bootstrap value
+	// max_a' Q(s,a') there instead of the row itself.
 	type step struct {
-		row      []float64
-		action   int
-		reward   float64
-		feasible []int
+		entry  int32
+		action int
+		reward float64
+		q      float64
+		best   float64
 	}
 	traj := make([]step, 0, in.N())
 
@@ -74,30 +82,28 @@ func (nq *NStepQLearning) Assign(in *gap.Instance) (*gap.Assignment, error) {
 		cost := 0.0
 		feasibleRun := true
 		for !env.done() {
-			key := env.stateKey()
 			actBuf = env.feasibleActions(actBuf)
 			if len(actBuf) == 0 {
 				feasibleRun = false
 				break
 			}
-			row := table.row(key, env.rowInit[env.step])
-			a := epsGreedyMode(row, actBuf, eps, src, p.UniformExploration)
+			e := table.internAt(env)
+			row := table.row(e, env.step, buf)
+			a, best := bestQ(row, actBuf)
+			if src.Bernoulli(eps) {
+				a = policy.explore(row, actBuf, src)
+			}
 			i := env.device()
 			r := env.take(a)
 			cost -= r
 			of[i] = a
-			traj = append(traj, step{
-				row:      row,
-				action:   a,
-				reward:   r,
-				feasible: append([]int(nil), actBuf...),
-			})
+			traj = append(traj, step{entry: e, action: a, reward: r, q: row[a], best: best})
 		}
 		// Terminal value: 0 for a completed episode, a large penalty
 		// for a dead end (the trajectory is punished through its tail).
 		terminal := 0.0
 		if !feasibleRun {
-			terminal = -deadEndPenalty(in)
+			terminal = -penalty
 		}
 		// Batch n-step backward updates against the current table.
 		T := len(traj)
@@ -116,12 +122,11 @@ func (nq *NStepQLearning) Assign(in *gap.Instance) (*gap.Assignment, error) {
 				// Bootstrap from the state entered at step `end`,
 				// which is the state acted on at index `end` of
 				// the trajectory.
-				_, nv := bestQ(traj[end].row, traj[end].feasible)
-				g += discount * nv
+				g += discount * traj[end].best
 			} else {
 				g += discount * terminal
 			}
-			traj[t].row[traj[t].action] += p.Alpha * (g - traj[t].row[traj[t].action])
+			table.update(traj[t].entry, traj[t].action, traj[t].q, p.Alpha, g)
 		}
 		if feasibleRun && cost < bestCost {
 			bestCost = cost

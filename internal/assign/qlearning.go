@@ -3,7 +3,6 @@ package assign
 import (
 	"fmt"
 	"math"
-	"strconv"
 
 	"taccc/internal/gap"
 	"taccc/internal/obs"
@@ -79,7 +78,12 @@ type mdp struct {
 	levels   int
 	residual []float64
 	loads    []float64
-	step     int
+	// lvl[j] is edge j's quantized utilization (see level) and hash the
+	// Zobrist hash of lvl. take keeps both current by updating only the
+	// edge whose load changed.
+	lvl  []uint8
+	hash uint64
+	step int
 	// rowInit[t] is the Q-row initialization for any state at step t.
 	rowInit [][]float64
 }
@@ -96,6 +100,7 @@ func newMDPSeeded(in *gap.Instance, levels int, costSeed bool) *mdp {
 		levels:   levels,
 		residual: make([]float64, in.M()),
 		loads:    make([]float64, in.M()),
+		lvl:      make([]uint8, in.M()),
 	}
 	// Cost-seeded Q initialization: a fresh row for step t starts at
 	// -cost(device(t), j), so the untrained greedy policy already acts
@@ -103,8 +108,9 @@ func newMDPSeeded(in *gap.Instance, levels int, costSeed bool) *mdp {
 	// capacity interactions. Unreachable edges start at -Inf and are
 	// never picked either way.
 	m.rowInit = make([][]float64, in.N())
+	flat := make([]float64, in.N()*in.M())
 	for t, dev := range m.order {
-		row := make([]float64, in.M())
+		row := flat[t*in.M() : (t+1)*in.M()]
 		for j := 0; j < in.M(); j++ {
 			switch {
 			case math.IsInf(in.CostMs[dev][j], 1):
@@ -121,8 +127,11 @@ func newMDPSeeded(in *gap.Instance, levels int, costSeed bool) *mdp {
 // reset starts a new episode.
 func (m *mdp) reset() {
 	copy(m.residual, m.in.Capacity)
+	m.hash = 0
 	for j := range m.loads {
 		m.loads[j] = 0
+		m.lvl[j] = m.level(j)
+		m.hash ^= zobrist(j, m.lvl[j])
 	}
 	m.step = 0
 }
@@ -133,35 +142,45 @@ func (m *mdp) done() bool { return m.step >= len(m.order) }
 // device returns the device placed at the current step.
 func (m *mdp) device() int { return m.order[m.step] }
 
-// stateKey encodes (step, quantized utilization vector). Utilization is
-// load/capacity clipped to [0, 1); zero-capacity edges are always at the
-// top level.
-func (m *mdp) stateKey() string {
-	// Preallocate: step digits + one byte per edge.
-	buf := make([]byte, 0, 8+len(m.loads))
-	buf = strconv.AppendInt(buf, int64(m.step), 10)
-	buf = append(buf, '|')
-	for j, load := range m.loads {
-		level := m.levels - 1
-		if m.in.Capacity[j] > 0 {
-			u := load / m.in.Capacity[j]
-			if u >= 1 {
-				u = 1 - 1e-9
-			}
-			level = int(u * float64(m.levels))
+// level quantizes edge j's utilization: load/capacity clipped to [0, 1)
+// into levels buckets; zero-capacity edges are always at the top level.
+// A state compares levels as bytes, so levels wrap modulo 256.
+func (m *mdp) level(j int) uint8 {
+	level := m.levels - 1
+	if m.in.Capacity[j] > 0 {
+		u := m.loads[j] / m.in.Capacity[j]
+		if u >= 1 {
+			u = 1 - 1e-9
 		}
-		buf = append(buf, byte('a'+level))
+		level = int(u * float64(m.levels))
 	}
-	return string(buf)
+	return uint8(level)
 }
+
+// zobrist is the hash contribution of edge j at level l, and stepSalt
+// that of the step: splitmix64's finalizer over disjoint inputs.
+func zobrist(j int, l uint8) uint64 { return mix64(uint64(j)<<8 | uint64(l)) }
+func stepSalt(t int) uint64         { return mix64(uint64(t) | 1<<63) }
+
+func mix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return x ^ x>>31
+}
+
+// key returns the 64-bit hash of the current state (step, lvl).
+func (m *mdp) key() uint64 { return m.hash ^ stepSalt(m.step) }
 
 // feasibleActions lists edges with remaining capacity for the current
 // device. The returned slice is reused across calls.
 func (m *mdp) feasibleActions(buf []int) []int {
 	buf = buf[:0]
 	i := m.device()
-	for j := 0; j < m.in.M(); j++ {
-		if fits(m.in, m.residual, i, j) {
+	w, c := m.in.Weight[i], m.in.CostMs[i]
+	for j, r := range m.residual {
+		// fits, with device i's rows hoisted out of the loop.
+		if w[j] <= r+1e-12 && !math.IsInf(c[j], 1) {
 			buf = append(buf, j)
 		}
 	}
@@ -173,25 +192,15 @@ func (m *mdp) take(j int) float64 {
 	i := m.device()
 	m.residual[j] -= m.in.Weight[i][j]
 	m.loads[j] += m.in.Weight[i][j]
+	if l := m.level(j); l != m.lvl[j] {
+		m.hash ^= zobrist(j, m.lvl[j]) ^ zobrist(j, l)
+		m.lvl[j] = l
+	}
 	m.step++
 	return -m.in.CostMs[i][j]
 }
 
-// qtable is a lazily grown state-action value table; fresh rows copy the
-// step's initialization vector.
-type qtable map[string][]float64
-
-func (q qtable) row(key string, init []float64) []float64 {
-	if r, ok := q[key]; ok {
-		return r
-	}
-	r := make([]float64, len(init))
-	copy(r, init)
-	q[key] = r
-	return r
-}
-
-// bestFeasible returns the feasible action with maximal Q and its value.
+// bestQ returns the feasible action with maximal Q and its value.
 func bestQ(row []float64, feasible []int) (int, float64) {
 	best, bestV := feasible[0], math.Inf(-1)
 	for _, a := range feasible {
@@ -202,23 +211,36 @@ func bestQ(row []float64, feasible []int) (int, float64) {
 	return best, bestV
 }
 
-// epsGreedy picks a feasible action: explore with probability eps,
-// otherwise exploit the Q row. Exploration is cost-biased (softmax over
-// the Q row rather than uniform) so exploratory episodes sample plausible
-// alternative placements instead of arbitrary far-away edges — uniform
-// exploration wastes most episodes on assignments no policy would choose.
-func epsGreedy(row []float64, feasible []int, eps float64, src *xrand.Source) int {
-	return epsGreedyMode(row, feasible, eps, src, false)
+// explorer is the epsilon-greedy behaviour policy: explore with
+// probability eps, otherwise exploit the Q row. Exploration is
+// cost-biased (softmax over the Q row rather than uniform) so exploratory
+// episodes sample plausible alternative placements instead of arbitrary
+// far-away edges — uniform exploration wastes most episodes on
+// assignments no policy would choose. uniform selects uniform
+// exploration for the F11 ablation.
+type explorer struct {
+	uniform bool
+	weights []float64 // softmax scratch, reused across picks
 }
 
-// epsGreedyMode is epsGreedy with selectable exploration (uniform for the
-// F11 ablation).
-func epsGreedyMode(row []float64, feasible []int, eps float64, src *xrand.Source, uniform bool) int {
+func newExplorer(m int, uniform bool) *explorer {
+	return &explorer{uniform: uniform, weights: make([]float64, m)}
+}
+
+// pick chooses a feasible action for Q row row.
+func (x *explorer) pick(row []float64, feasible []int, eps float64, src *xrand.Source) int {
 	if !src.Bernoulli(eps) {
 		a, _ := bestQ(row, feasible)
 		return a
 	}
-	if uniform {
+	return x.explore(row, feasible, src)
+}
+
+// explore draws the exploratory action of pick. A caller that already
+// holds the row's bestQ action draws the coin itself and calls explore
+// only when the coin says explore.
+func (x *explorer) explore(row []float64, feasible []int, src *xrand.Source) int {
+	if x.uniform {
 		return feasible[src.Intn(len(feasible))]
 	}
 	// Softmax over Q values with a temperature tied to their spread.
@@ -236,7 +258,7 @@ func epsGreedyMode(row []float64, feasible []int, eps float64, src *xrand.Source
 	if temp <= eps0Temp {
 		return feasible[src.Intn(len(feasible))] // flat row: uniform
 	}
-	weights := make([]float64, len(feasible))
+	weights := x.weights[:len(feasible)]
 	for k, a := range feasible {
 		weights[k] = math.Exp((row[a] - best) / temp)
 	}
@@ -287,8 +309,11 @@ func (q *QLearning) Assign(in *gap.Instance) (*gap.Assignment, error) {
 	p := q.Params.withDefaults()
 	src := xrand.NewSplit(q.seed, "qlearning")
 	env := newMDPSeeded(in, p.LoadLevels, !p.NoCostSeeding)
-	table := make(qtable, p.Episodes)
-	var actBuf, nextBuf []int
+	table := newQTable(env)
+	policy := newExplorer(in.M(), p.UniformExploration)
+	penalty := deadEndPenalty(in)
+	actBuf, nextBuf := make([]int, 0, in.M()), make([]int, 0, in.M())
+	buf, nextRowBuf := make([]float64, in.M()), make([]float64, in.M())
 
 	bestOf := make([]int, in.N())
 	bestCost := math.Inf(1)
@@ -318,44 +343,57 @@ func (q *QLearning) Assign(in *gap.Instance) (*gap.Assignment, error) {
 	for ep := 0; ep < p.Episodes; ep++ {
 		env.reset()
 		cost := 0.0
-		feasibleRun := true
-		for !env.done() {
-			key := env.stateKey()
-			actBuf = env.feasibleActions(actBuf)
-			if len(actBuf) == 0 {
-				// Dead end: punish the whole visited path is
-				// unnecessary — Q of the last action gets the
-				// penalty so the policy steers away.
-				feasibleRun = false
-				break
+		// The state acted on is carried from the previous step's
+		// lookahead: its entry, Q row and feasible actions.
+		actBuf = env.feasibleActions(actBuf)
+		feasibleRun := len(actBuf) > 0
+		var e int32
+		var row []float64
+		var greedy int // bestQ action of row
+		if feasibleRun {
+			e = table.internAt(env)
+			row = table.row(e, env.step, buf)
+			greedy, _ = bestQ(row, actBuf)
+		}
+		for feasibleRun {
+			a := greedy
+			if src.Bernoulli(eps) {
+				a = policy.explore(row, actBuf, src)
 			}
-			row := table.row(key, env.rowInit[env.step])
-			a := epsGreedyMode(row, actBuf, eps, src, p.UniformExploration)
 			i := env.device()
 			r := env.take(a)
 			cost -= r
 			of[i] = a
 
 			var target float64
+			var next int32
+			var nextRow []float64
 			if env.done() {
 				target = r
 			} else {
 				nextBuf = env.feasibleActions(nextBuf)
 				if len(nextBuf) == 0 {
 					// Next state is a dead end: large
-					// penalty as the terminal value.
-					target = r - deadEndPenalty(in)
+					// penalty as the terminal value. Only
+					// the last action is punished; the
+					// policy learns to steer away from it.
+					target = r - penalty
 					feasibleRun = false
 				} else {
-					nextRow := table.row(env.stateKey(), env.rowInit[env.step])
-					_, nv := bestQ(nextRow, nextBuf)
+					next = table.internAt(env)
+					nextRow = table.row(next, env.step, nextRowBuf)
+					var nv float64
+					greedy, nv = bestQ(nextRow, nextBuf)
 					target = r + p.Gamma*nv
 				}
 			}
-			row[a] += p.Alpha * (target - row[a])
-			if !feasibleRun {
+			table.update(e, a, row[a], p.Alpha, target)
+			if !feasibleRun || env.done() {
 				break
 			}
+			e, row = next, nextRow
+			buf, nextRowBuf = nextRowBuf, buf
+			actBuf, nextBuf = nextBuf, actBuf
 		}
 		if feasibleRun && cost < bestCost {
 			bestCost = cost
@@ -401,18 +439,18 @@ func warmStart(in *gap.Instance) (float64, []int) {
 
 // greedyRollout performs one epsilon=0 episode against the current table,
 // writing the placement into of. It reports the episode cost and whether a
-// complete feasible placement was reached. Q rows touched are created (and
-// therefore cost-seeded) but not updated.
-func greedyRollout(env *mdp, table qtable, of []int) (float64, bool) {
+// complete feasible placement was reached. The table is only read.
+func greedyRollout(env *mdp, table *qtable, of []int) (float64, bool) {
 	env.reset()
 	cost := 0.0
-	var buf []int
+	buf := make([]int, 0, env.in.M())
+	rowBuf := make([]float64, env.in.M())
 	for !env.done() {
 		buf = env.feasibleActions(buf)
 		if len(buf) == 0 {
 			return 0, false
 		}
-		row := table.row(env.stateKey(), env.rowInit[env.step])
+		row := table.row(table.stateAt(env), env.step, rowBuf)
 		a, _ := bestQ(row, buf)
 		i := env.device()
 		cost -= env.take(a)
@@ -456,8 +494,11 @@ func (s *SARSA) Assign(in *gap.Instance) (*gap.Assignment, error) {
 	p := s.Params.withDefaults()
 	src := xrand.NewSplit(s.seed, "sarsa")
 	env := newMDP(in, p.LoadLevels)
-	table := make(qtable, p.Episodes)
-	var actBuf []int
+	table := newQTable(env)
+	policy := newExplorer(in.M(), false)
+	penalty := deadEndPenalty(in)
+	actBuf := make([]int, 0, in.M())
+	buf, nextRowBuf := make([]float64, in.M()), make([]float64, in.M())
 
 	bestOf := make([]int, in.N())
 	bestCost := math.Inf(1)
@@ -486,36 +527,37 @@ func (s *SARSA) Assign(in *gap.Instance) (*gap.Assignment, error) {
 		cost := 0.0
 		feasibleRun := true
 
-		key := env.stateKey()
 		actBuf = env.feasibleActions(actBuf)
 		if len(actBuf) == 0 {
 			return nil, fmt.Errorf("assign/sarsa: no feasible first action: %w", gap.ErrInfeasible)
 		}
-		row := table.row(key, env.rowInit[env.step])
-		a := epsGreedy(row, actBuf, eps, src)
+		e := table.internAt(env)
+		row := table.row(e, env.step, buf)
+		a := policy.pick(row, actBuf, eps, src)
 
 		for {
 			i := env.device()
 			r := env.take(a)
 			cost -= r
 			of[i] = a
-			prevRow, prevA := row, a
 
 			if env.done() {
-				prevRow[prevA] += p.Alpha * (r - prevRow[prevA])
+				table.update(e, a, row[a], p.Alpha, r)
 				break
 			}
 			actBuf = env.feasibleActions(actBuf)
 			if len(actBuf) == 0 {
-				prevRow[prevA] += p.Alpha * (r - deadEndPenalty(in) - prevRow[prevA])
+				table.update(e, a, row[a], p.Alpha, r-penalty)
 				feasibleRun = false
 				break
 			}
-			key = env.stateKey()
-			row = table.row(key, env.rowInit[env.step])
-			a = epsGreedy(row, actBuf, eps, src)
-			target := r + p.Gamma*row[a]
-			prevRow[prevA] += p.Alpha * (target - prevRow[prevA])
+			next := table.internAt(env)
+			nextRow := table.row(next, env.step, nextRowBuf)
+			nextA := policy.pick(nextRow, actBuf, eps, src)
+			target := r + p.Gamma*nextRow[nextA]
+			table.update(e, a, row[a], p.Alpha, target)
+			e, a, row = next, nextA, nextRow
+			buf, nextRowBuf = nextRowBuf, buf
 		}
 		if feasibleRun && cost < bestCost {
 			bestCost = cost

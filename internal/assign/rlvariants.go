@@ -29,9 +29,12 @@ func (dq *DoubleQLearning) Assign(in *gap.Instance) (*gap.Assignment, error) {
 	p := dq.Params.withDefaults()
 	src := xrand.NewSplit(dq.seed, "double-q")
 	env := newMDP(in, p.LoadLevels)
-	tableA := make(qtable, p.Episodes)
-	tableB := make(qtable, p.Episodes)
-	var actBuf, nextBuf []int
+	tableA, tableB := newQTable(env), newQTable(env)
+	policy := newExplorer(in.M(), false)
+	penalty := deadEndPenalty(in)
+	actBuf, nextBuf := make([]int, 0, in.M()), make([]int, 0, in.M())
+	bufA, bufB := make([]float64, in.M()), make([]float64, in.M())
+	nextBufA, nextBufB := make([]float64, in.M()), make([]float64, in.M())
 	sumRow := make([]float64, in.M())
 
 	bestOf := make([]int, in.N())
@@ -56,21 +59,22 @@ func (dq *DoubleQLearning) Assign(in *gap.Instance) (*gap.Assignment, error) {
 	for ep := 0; ep < p.Episodes; ep++ {
 		env.reset()
 		cost := 0.0
-		feasibleRun := true
-		for !env.done() {
-			key := env.stateKey()
-			actBuf = env.feasibleActions(actBuf)
-			if len(actBuf) == 0 {
-				feasibleRun = false
-				break
-			}
-			rowA := tableA.row(key, env.rowInit[env.step])
-			rowB := tableB.row(key, env.rowInit[env.step])
+		// As in QLearning, the state acted on is carried from the
+		// previous step's lookahead.
+		actBuf = env.feasibleActions(actBuf)
+		feasibleRun := len(actBuf) > 0
+		var eA, eB int32
+		var rowA, rowB []float64
+		if feasibleRun {
+			eA, eB = tableA.internAt(env), tableB.internAt(env)
+			rowA, rowB = tableA.row(eA, env.step, bufA), tableB.row(eB, env.step, bufB)
+		}
+		for feasibleRun {
 			// Behaviour policy acts on the sum of the two tables.
 			for j := range sumRow {
 				sumRow[j] = rowA[j] + rowB[j]
 			}
-			a := epsGreedy(sumRow, actBuf, eps, src)
+			a := policy.pick(sumRow, actBuf, eps, src)
 			i := env.device()
 			r := env.take(a)
 			cost -= r
@@ -79,34 +83,39 @@ func (dq *DoubleQLearning) Assign(in *gap.Instance) (*gap.Assignment, error) {
 			// Flip a coin: update one table using the other as
 			// the evaluator of its own argmax.
 			updateA := src.Bernoulli(0.5)
-			upd := rowA
-			if !updateA {
-				upd = rowB
-			}
 			var target float64
+			var nA, nB int32
+			var nextA, nextB []float64
 			if env.done() {
 				target = r
 			} else {
 				nextBuf = env.feasibleActions(nextBuf)
 				if len(nextBuf) == 0 {
-					target = r - deadEndPenalty(in)
+					target = r - penalty
 					feasibleRun = false
 				} else {
-					nk := env.stateKey()
-					nA := tableA.row(nk, env.rowInit[env.step])
-					nB := tableB.row(nk, env.rowInit[env.step])
-					nUpd, nEval := nA, nB
+					nA, nB = tableA.internAt(env), tableB.internAt(env)
+					nextA, nextB = tableA.row(nA, env.step, nextBufA), tableB.row(nB, env.step, nextBufB)
+					nUpd, nEval := nextA, nextB
 					if !updateA {
-						nUpd, nEval = nB, nA
+						nUpd, nEval = nextB, nextA
 					}
 					am, _ := bestQ(nUpd, nextBuf)
 					target = r + p.Gamma*nEval[am]
 				}
 			}
-			upd[a] += p.Alpha * (target - upd[a])
-			if !feasibleRun {
+			if updateA {
+				tableA.update(eA, a, rowA[a], p.Alpha, target)
+			} else {
+				tableB.update(eB, a, rowB[a], p.Alpha, target)
+			}
+			if !feasibleRun || env.done() {
 				break
 			}
+			eA, eB, rowA, rowB = nA, nB, nextA, nextB
+			bufA, nextBufA = nextBufA, bufA
+			bufB, nextBufB = nextBufB, bufB
+			actBuf, nextBuf = nextBuf, actBuf
 		}
 		if feasibleRun && cost < bestCost {
 			bestCost = cost
@@ -144,8 +153,11 @@ func (es *ExpectedSARSA) Assign(in *gap.Instance) (*gap.Assignment, error) {
 	p := es.Params.withDefaults()
 	src := xrand.NewSplit(es.seed, "expected-sarsa")
 	env := newMDP(in, p.LoadLevels)
-	table := make(qtable, p.Episodes)
-	var actBuf, nextBuf []int
+	table := newQTable(env)
+	policy := newExplorer(in.M(), false)
+	penalty := deadEndPenalty(in)
+	actBuf, nextBuf := make([]int, 0, in.M()), make([]int, 0, in.M())
+	buf, nextRowBuf := make([]float64, in.M()), make([]float64, in.M())
 
 	bestOf := make([]int, in.N())
 	bestCost := math.Inf(1)
@@ -169,38 +181,46 @@ func (es *ExpectedSARSA) Assign(in *gap.Instance) (*gap.Assignment, error) {
 	for ep := 0; ep < p.Episodes; ep++ {
 		env.reset()
 		cost := 0.0
-		feasibleRun := true
-		for !env.done() {
-			key := env.stateKey()
-			actBuf = env.feasibleActions(actBuf)
-			if len(actBuf) == 0 {
-				feasibleRun = false
-				break
-			}
-			row := table.row(key, env.rowInit[env.step])
-			a := epsGreedy(row, actBuf, eps, src)
+		// As in QLearning, the state acted on is carried from the
+		// previous step's lookahead.
+		actBuf = env.feasibleActions(actBuf)
+		feasibleRun := len(actBuf) > 0
+		var e int32
+		var row []float64
+		if feasibleRun {
+			e = table.internAt(env)
+			row = table.row(e, env.step, buf)
+		}
+		for feasibleRun {
+			a := policy.pick(row, actBuf, eps, src)
 			i := env.device()
 			r := env.take(a)
 			cost -= r
 			of[i] = a
 
 			var target float64
+			var next int32
+			var nextRow []float64
 			if env.done() {
 				target = r
 			} else {
 				nextBuf = env.feasibleActions(nextBuf)
 				if len(nextBuf) == 0 {
-					target = r - deadEndPenalty(in)
+					target = r - penalty
 					feasibleRun = false
 				} else {
-					nextRow := table.row(env.stateKey(), env.rowInit[env.step])
+					next = table.internAt(env)
+					nextRow = table.row(next, env.step, nextRowBuf)
 					target = r + p.Gamma*expectedValue(nextRow, nextBuf, eps)
 				}
 			}
-			row[a] += p.Alpha * (target - row[a])
-			if !feasibleRun {
+			table.update(e, a, row[a], p.Alpha, target)
+			if !feasibleRun || env.done() {
 				break
 			}
+			e, row = next, nextRow
+			buf, nextRowBuf = nextRowBuf, buf
+			actBuf, nextBuf = nextBuf, actBuf
 		}
 		if feasibleRun && cost < bestCost {
 			bestCost = cost
