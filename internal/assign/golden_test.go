@@ -14,8 +14,8 @@ import (
 )
 
 // goldenShapes are the instance families the golden determinism test
-// sweeps: a comfortable uniform case, a correlated case and a larger
-// tight one, each at three seeds.
+// sweeps: a comfortable uniform case, a correlated case, a larger tight
+// one and a 300×70 one with most cheap edges full, each at three seeds.
 var goldenShapes = []struct {
 	kind gap.SyntheticKind
 	n, m int
@@ -24,15 +24,17 @@ var goldenShapes = []struct {
 	{gap.SyntheticUniform, 30, 5, 0.8},
 	{gap.SyntheticCorrelated, 25, 4, 0.85},
 	{gap.SyntheticUniform, 60, 8, 0.9},
+	{gap.SyntheticUniform, 300, 70, 0.95},
 }
 
 // goldenHashes pins the exact assignment every metaheuristic produces per
 // (shape, seed), captured on the pre-Evaluator implementations. Hash is
 // FNV-64a over the placement vector's entries as little-endian 4-byte
 // words; "ERR" marks cells where the solver deterministically reports
-// infeasibility. Any diff here means a solver's per-seed arithmetic — not
-// just its cost — changed, which is exactly what the incremental-kernel
-// contract forbids.
+// infeasibility. The 300×70 tabu cells were captured on the full-scan
+// tabu loop, before the incremental candidate positions replaced it. Any
+// diff here means a solver's per-seed arithmetic — not just its cost —
+// changed, which is exactly what the incremental-kernel contract forbids.
 var goldenHashes = []struct {
 	shape int
 	seed  int64
@@ -93,6 +95,9 @@ var goldenHashes = []struct {
 	{2, 3, "lns", "055b1acac105bb42"},
 	{2, 3, "genetic", "055b1acac105bb42"},
 	{2, 3, "lagrangian", "8d56302634d80382"},
+	{3, 1, "tabu", "4aaeebb52b42a441"},
+	{3, 2, "tabu", "74c10dca2e3ee922"},
+	{3, 3, "tabu", "37f2920ce83ba39e"},
 }
 
 // hashOf folds a placement vector with FNV-64a, each entry as a
