@@ -1,7 +1,6 @@
 package topology
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 
@@ -43,18 +42,48 @@ type pqItem struct {
 	dist float64
 }
 
+// pq is a binary min-heap of pqItems on dist. push and pop mirror
+// container/heap's Push and Pop step for step (same sift-up and
+// sift-down, same tie handling), so items leave in exactly the order the
+// generic heap would give, without boxing each item in an interface.
 type pq []pqItem
 
-func (q pq) Len() int            { return len(q) }
-func (q pq) Less(i, j int) bool  { return q[i].dist < q[j].dist }
-func (q pq) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *pq) Push(x interface{}) { *q = append(*q, x.(pqItem)) }
-func (q *pq) Pop() interface{} {
-	old := *q
-	n := len(old)
-	item := old[n-1]
-	*q = old[:n-1]
-	return item
+func (q *pq) push(it pqItem) {
+	*q = append(*q, it)
+	h := *q
+	j := len(h) - 1
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !(h[j].dist < h[i].dist) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+func (q *pq) pop() pqItem {
+	h := *q
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	i := 0
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && h[j2].dist < h[j1].dist {
+			j = j2 // right child
+		}
+		if !(h[j].dist < h[i].dist) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	*q = h[:n]
+	return h[n]
 }
 
 // ShortestPaths holds single-source shortest-path results.
@@ -99,9 +128,9 @@ func (g *Graph) Dijkstra(src NodeID, cost LinkCost) *ShortestPaths {
 		prev[i] = -1
 	}
 	dist[src] = 0
-	q := &pq{{node: src, dist: 0}}
-	for q.Len() > 0 {
-		item := heap.Pop(q).(pqItem)
+	q := pq{{node: src, dist: 0}}
+	for len(q) > 0 {
+		item := q.pop()
 		u := item.node
 		if done[u] {
 			continue
@@ -115,7 +144,7 @@ func (g *Graph) Dijkstra(src NodeID, cost LinkCost) *ShortestPaths {
 			if nd := item.dist + c; nd < dist[h.to] {
 				dist[h.to] = nd
 				prev[h.to] = u
-				heap.Push(q, pqItem{node: h.to, dist: nd})
+				q.push(pqItem{node: h.to, dist: nd})
 			}
 		}
 	}
@@ -228,21 +257,11 @@ func NewDelayMatrix(g *Graph, cost LinkCost) *DelayMatrix {
 // NewDelayMatrixWorkers is NewDelayMatrix with an explicit worker count
 // (<= 0 means all cores, 1 is fully sequential). Each goroutine owns one
 // edge source and writes only column j of the pre-sized matrix, so the
-// result is identical for every worker count.
+// result is identical for every worker count. The rows share one backing
+// array, and Dijkstra's heap holds its items unboxed, so the build makes
+// O(edges) allocations however many IoT rows and heap pushes it has.
 func NewDelayMatrixWorkers(g *Graph, cost LinkCost, workers int) *DelayMatrix {
-	iot := g.NodesOfKind(KindIoT)
-	edge := g.NodesOfKind(KindEdge)
-	m := make([][]float64, len(iot))
-	for i := range m {
-		m[i] = make([]float64, len(edge))
-	}
-	par.For(par.Workers(workers), len(edge), func(j int) {
-		sp := g.Dijkstra(edge[j], cost)
-		for i, d := range iot {
-			m[i][j] = sp.Dist[d]
-		}
-	})
-	return &DelayMatrix{IoT: iot, Edge: edge, DelayMs: m}
+	return NewDelayMatrixTraced(g, cost, workers, nil)
 }
 
 // NewDelayMatrixTraced is NewDelayMatrixWorkers with wall-clock tracing:
@@ -254,15 +273,17 @@ func NewDelayMatrixWorkers(g *Graph, cost LinkCost, workers int) *DelayMatrix {
 func NewDelayMatrixTraced(g *Graph, cost LinkCost, workers int, phase *obs.Phase) *DelayMatrix {
 	iot := g.NodesOfKind(KindIoT)
 	edge := g.NodesOfKind(KindEdge)
+	ne := len(edge)
+	flat := make([]float64, len(iot)*ne)
 	m := make([][]float64, len(iot))
 	for i := range m {
-		m[i] = make([]float64, len(edge))
+		m[i] = flat[i*ne : (i+1)*ne : (i+1)*ne]
 	}
 	var now func() float64
 	if phase != nil {
 		now = phase.NowMs
 	}
-	shards := par.ForShards(par.Workers(workers), len(edge), now, func(j int) {
+	shards := par.ForShards(par.Workers(workers), ne, now, func(j int) {
 		sp := g.Dijkstra(edge[j], cost)
 		for i, d := range iot {
 			m[i][j] = sp.Dist[d]
