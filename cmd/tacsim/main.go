@@ -29,6 +29,25 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
+// validateScenario rejects scenario and timing flags the library would
+// refuse deep into the run, or silently replace: -rho 0 would otherwise
+// run at the default 0.7.
+func validateScenario(iot, edge int, rho, duration, warmup float64) error {
+	switch {
+	case iot <= 0:
+		return fmt.Errorf("-iot must be > 0, got %d", iot)
+	case edge <= 0:
+		return fmt.Errorf("-edge must be > 0, got %d", edge)
+	case !(rho > 0 && rho <= 1):
+		return fmt.Errorf("-rho must be in (0,1], got %v", rho)
+	case warmup < 0:
+		return fmt.Errorf("-warmup must be >= 0, got %v", warmup)
+	case !(duration > warmup):
+		return fmt.Errorf("-duration (%v s) must exceed -warmup (%v s)", duration, warmup)
+	}
+	return nil
+}
+
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("tacsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -81,6 +100,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	if err := sloFlag.Validate(); err != nil {
+		fmt.Fprintf(stderr, "tacsim: %v\n", err)
+		return 2
+	}
+	if err := validateScenario(*iot, *edge, *rho, *duration, *warmup); err != nil {
 		fmt.Fprintf(stderr, "tacsim: %v\n", err)
 		return 2
 	}

@@ -74,6 +74,41 @@ func TestSimulateWithTrace(t *testing.T) {
 	}
 }
 
+// TestUsageErrorsExit2 table-tests the flag values tacsim rejects before
+// it starts: each prints one message naming the flag and exits 2.
+func TestUsageErrorsExit2(t *testing.T) {
+	cases := []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-iot", "0"}, "-iot"},
+		{[]string{"-iot", "-3"}, "-iot"},
+		{[]string{"-edge", "0"}, "-edge"},
+		{[]string{"-rho", "0"}, "-rho"},
+		{[]string{"-rho", "1.5"}, "-rho"},
+		{[]string{"-rho", "-0.2"}, "-rho"},
+		{[]string{"-rho", "NaN"}, "-rho"},
+		{[]string{"-warmup", "-1"}, "-warmup"},
+		{[]string{"-duration", "5", "-warmup", "5"}, "-duration"},
+		{[]string{"-duration", "2", "-warmup", "5"}, "-duration"},
+	}
+	for _, tc := range cases {
+		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
+			var out, errBuf bytes.Buffer
+			if code := run(tc.args, &out, &errBuf); code != 2 {
+				t.Fatalf("exit %d, want 2 (stderr %q)", code, errBuf.String())
+			}
+			msg := errBuf.String()
+			if strings.Count(msg, "\n") != 1 || !strings.Contains(msg, tc.want) {
+				t.Fatalf("stderr %q: want one line naming %s", msg, tc.want)
+			}
+			if out.Len() != 0 {
+				t.Fatalf("stdout not empty: %q", out.String())
+			}
+		})
+	}
+}
+
 func TestSimulateErrors(t *testing.T) {
 	cases := [][]string{
 		{"-iot", "0"},
