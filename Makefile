@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench vet lint ci bench-json perf-gate baseline trace-smoke sysmon-smoke slo-smoke
+.PHONY: all build test race bench vet lint fuzz ci bench-json perf-gate baseline trace-smoke sysmon-smoke slo-smoke
 
 all: build test
 
@@ -46,6 +46,14 @@ lint:
 	$(GO) run ./cmd/taclint -format $(LINTFORMAT) ./...
 
 ci: vet lint build test
+
+# Native fuzzing, one target at a time (go test -fuzz takes a single
+# package and target). `make test` already replays each committed seed
+# corpus under testdata/fuzz; this explores beyond it for FUZZTIME.
+FUZZTIME ?= 30s
+
+fuzz:
+	$(GO) test ./internal/obs -run '^$$' -fuzz '^FuzzSpanLine$$' -fuzztime $(FUZZTIME)
 
 # Perf gate: run the fixed bench suite to JSON and diff it against the
 # committed baseline with tacreport. Verdicts subtract the propagated

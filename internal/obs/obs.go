@@ -83,6 +83,14 @@ func (m multiSink) Emit(e Event) {
 	}
 }
 
+// EmitSpan implements SpanSink, so each sink that takes spans as they
+// are keeps doing so behind a fan-out.
+func (m multiSink) EmitSpan(sp Span) {
+	for _, s := range m {
+		EmitSpan(s, sp)
+	}
+}
+
 // CountEvents wraps next so that every event also increments the counter
 // "events.<kind>" in r — a cheap way to keep a live tally of an event
 // stream in a metrics registry. next may be nil (count only).
@@ -104,6 +112,7 @@ type JSONL struct {
 	w   *bufio.Writer
 	err error
 	n   int
+	buf []byte // EmitSpan's line buffer, reused across spans
 }
 
 // NewJSONL wraps w in a buffered JSONL sink. Call Flush before closing the
@@ -124,12 +133,38 @@ func (s *JSONL) Emit(e Event) {
 		return
 	}
 	// encodeLine sorts object keys, so lines are deterministic per event.
-	buf, err := encodeLine(e)
+	s.writeLine(encodeLine(e))
+}
+
+// EmitSpan implements SpanSink: it writes the same bytes as
+// Emit(sp.Event()) through appendSpanLine, falling back to the generic
+// encoding for any span the typed encoder does not cover. Nil-safe.
+func (s *JSONL) EmitSpan(sp Span) {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.err != nil {
+		return
+	}
+	line, ok := appendSpanLine(s.buf[:0], sp)
+	s.buf = line[:0]
+	if ok {
+		s.writeLine(line, nil)
+		return
+	}
+	s.writeLine(encodeLine(sp.Event()))
+}
+
+// writeLine writes one encoded line, latching the encoding or write
+// error. Callers hold s.mu.
+func (s *JSONL) writeLine(line []byte, err error) {
 	if err != nil {
 		s.err = err
 		return
 	}
-	if _, err := s.w.Write(buf); err != nil {
+	if _, err := s.w.Write(line); err != nil {
 		s.err = err
 		return
 	}

@@ -56,9 +56,15 @@ func (sp Span) Event() Event {
 	return Event{Kind: "span", Fields: fields}
 }
 
-// EmitSpan sends sp into s, tolerating a nil sink.
+// EmitSpan sends sp into s, tolerating a nil sink. A sink that
+// implements SpanSink takes the span as it is; any other gets
+// sp.Event().
 func EmitSpan(s Sink, sp Span) {
 	if s == nil {
+		return
+	}
+	if ss, ok := s.(SpanSink); ok {
+		ss.EmitSpan(sp)
 		return
 	}
 	s.Emit(sp.Event())
