@@ -5,7 +5,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 )
@@ -17,38 +16,62 @@ type Event struct {
 	// Fn is invoked with the engine so handlers can schedule follow-ups.
 	Fn func(*Engine)
 
-	seq   int64 // tie-break so equal-time events run in schedule order
-	index int   // heap bookkeeping
-	dead  bool  // cancelled
+	seq  int64 // tie-break so equal-time events run in schedule order
+	dead bool  // cancelled
 }
 
+// before orders events by (Time, seq). seq is unique per engine, so the
+// order is total and the pop order does not depend on the heap's shape.
+func (a *Event) before(b *Event) bool {
+	if a.Time != b.Time {
+		return a.Time < b.Time
+	}
+	return a.seq < b.seq
+}
+
+// eventHeap is a binary min-heap of events in (Time, seq) order. push
+// and pop follow container/heap's Push and Pop step for step, without
+// boxing each event in an interface or calling Less and Swap through
+// one.
 type eventHeap []*Event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].Time != h[j].Time {
-		return h[i].Time < h[j].Time
+func (h *eventHeap) push(ev *Event) {
+	*h = append(*h, ev)
+	q := *h
+	j := len(q) - 1
+	for j > 0 {
+		i := (j - 1) / 2 // parent
+		if !q[j].before(q[i]) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		j = i
 	}
-	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x interface{}) {
-	e := x.(*Event)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
-	return e
+
+func (h *eventHeap) pop() *Event {
+	q := *h
+	n := len(q) - 1
+	q[0], q[n] = q[n], q[0]
+	i := 0
+	for {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && q[j2].before(q[j]) {
+			j = j2 // right child
+		}
+		if !q[j].before(q[i]) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		i = j
+	}
+	ev := q[n]
+	q[n] = nil
+	*h = q[:n]
+	return ev
 }
 
 // Engine owns the clock and the pending-event queue. The zero value is
@@ -90,7 +113,7 @@ func (e *Engine) Schedule(t float64, fn func(*Engine)) *Event {
 	}
 	ev := &Event{Time: t, Fn: fn, seq: e.nextSeq}
 	e.nextSeq++
-	heap.Push(&e.queue, ev)
+	e.queue.push(ev)
 	return ev
 }
 
@@ -117,7 +140,7 @@ func (e *Engine) Stop() { e.stopped = true }
 // It reports whether an event was executed.
 func (e *Engine) Step() bool {
 	for len(e.queue) > 0 {
-		ev := heap.Pop(&e.queue).(*Event)
+		ev := e.queue.pop()
 		if ev.dead {
 			continue
 		}
@@ -141,7 +164,7 @@ func (e *Engine) Run(until float64) int64 {
 		var next *Event
 		for len(e.queue) > 0 {
 			if e.queue[0].dead {
-				heap.Pop(&e.queue)
+				e.queue.pop()
 				continue
 			}
 			next = e.queue[0]
